@@ -128,9 +128,6 @@ metric_enum! {
         TopRulesLatency => "top_rules_latency",
         /// End-to-end update-batch latency.
         UpdateLatency => "update_latency",
-        /// End-to-end shard ledger-query latency (the sharded front's
-        /// scatter primitive, one per shard per fan-out).
-        ShardQueryLatency => "shard_query_latency",
         /// Time between job submission and a worker picking it up.
         QueueWait => "queue_wait",
         /// D-ball cache probe + (on miss) extraction time.
@@ -435,8 +432,8 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Merges snapshots from several registries (the sharded serving
-    /// front's per-shard engines) into one aggregate view: counters sum,
+    /// Merges snapshots from several registries (or several interval
+    /// deltas of one) into one aggregate view: counters sum,
     /// histograms merge bucket-wise, and gauges **sum per name** across
     /// inputs (queue depths add; a summed epoch gauge reads as aggregate
     /// generation progress). Returns an empty snapshot for no inputs.

@@ -135,11 +135,12 @@ macro_rules! metric_stage_enum {
 }
 
 metric_stage_enum! {
-    /// The stages a request's time is attributed to. Query stages map
-    /// onto the serving pipeline (queue wait → cache lookup → candidate
-    /// pruning → iso eval → ledger read); update stages onto the
-    /// incremental-maintenance pipeline (diff → commit → BFS → group
-    /// repair → ledger patch).
+    /// The stages a request's time is attributed to. Serving queries
+    /// record queue wait → warm-up (first request on a predicate) →
+    /// ledger read; cache lookup, candidate pruning and iso eval name
+    /// per-center evaluation steps that no request trace records. Update
+    /// stages map onto the incremental-maintenance pipeline (diff →
+    /// commit → BFS → group repair → ledger patch).
     pub enum Stage {
         QueueWait => ("queue_wait", HistKind::QueueWait),
         CacheLookup => ("cache_lookup", HistKind::CacheLookup),

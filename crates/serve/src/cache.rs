@@ -1,11 +1,14 @@
 //! A small intrusive-list LRU cache with hit/miss accounting.
 //!
 //! The serving engine keys this by `(center, d)` and stores
-//! `Arc<CenterSite>` values, so hot candidate centers are never
-//! re-extracted: a d-ball extraction is a BFS plus an induced-subgraph
-//! build (`O(|G_d(v)|)`), which dominates per-candidate latency for small
+//! `Arc<CenterSite>` values. Only center evaluations read it — warm-up
+//! scans and update repair; identify answers are ledger reads — so a
+//! center is extracted once per radius across every predicate that warms
+//! it, and a re-warm after a group rebuild finds the sites still hot: a
+//! d-ball extraction is a BFS plus an induced-subgraph build
+//! (`O(|G_d(v)|)`), which dominates per-center evaluation cost for small
 //! patterns. All operations are `O(1)`; the engine wraps the cache in a
-//! `Mutex` shared by the worker pool.
+//! `Mutex` per snapshot.
 
 use rustc_hash::FxHashMap;
 use std::hash::Hash;

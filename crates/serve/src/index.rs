@@ -86,8 +86,9 @@ pub struct PredicateGroup {
     pub inactive_rules: usize,
     /// Pre-built common-subpattern sharing plan over [`PredicateGroup::rules`].
     pub plan: SharingPlan,
-    /// Evaluation radius: `max(r(P_R, x), r(Q, x))` over the active rules
-    /// (exactly EIP's derivation).
+    /// Evaluation radius: `max(r(P_R, x), r(Q, x))` over every cataloged
+    /// rule of the predicate, active or not (exactly EIP's derivation
+    /// over `Σ_p`).
     pub d: u32,
     /// Candidate centers `L` (nodes satisfying `x`'s condition), id order
     /// — sorted, so membership of query-supplied ids is a binary search.
@@ -162,19 +163,6 @@ impl PredicateGroup {
             if let Some(sk) = &mut self.center_sketches {
                 sk[pos] = Sketch::build(g, c, k);
             }
-        }
-    }
-
-    /// Drops every center failing `keep`, keeping the sketch column
-    /// aligned. The sharded engine uses this to restrict a group (built
-    /// or rebuilt against the full graph) to the shard's owned centers.
-    pub fn retain_centers(&mut self, mut keep: impl FnMut(NodeId) -> bool) {
-        let mask: Vec<bool> = self.centers.iter().map(|&c| keep(c)).collect();
-        let mut it = mask.iter();
-        self.centers.retain(|_| *it.next().expect("mask aligned"));
-        if let Some(sk) = &mut self.center_sketches {
-            let mut it = mask.iter();
-            sk.retain(|_| *it.next().expect("mask aligned"));
         }
     }
 
@@ -269,15 +257,6 @@ impl CandidateIndex {
         &self.dormant
     }
 
-    /// Restricts every group to the centers passing `keep` (see
-    /// [`PredicateGroup::retain_centers`]) — the sharded engine's
-    /// owned-center filter.
-    pub fn retain_centers(&mut self, mut keep: impl FnMut(NodeId) -> bool) {
-        for g in self.groups.values_mut() {
-            Arc::make_mut(g).retain_centers(&mut keep);
-        }
-    }
-
     /// Translates every group's center list through a compaction
     /// [`NodeRemap`] (see [`PredicateGroup::remap_centers`]).
     pub fn remap_ids(&mut self, remap: &gpar_graph::NodeRemap) {
@@ -357,7 +336,18 @@ fn build_group<G: GraphView + ?Sized>(
         return None;
     }
     let plan = SharingPlan::build(&rules);
-    let d = d_override.unwrap_or_else(|| derive_radius(&rules));
+    // EIP derives the radius over the predicate's whole Σ, so rules the
+    // signature check deactivated count too: a rule whose antecedent is
+    // not connected to `x` matches differently at different radii, and
+    // the engine must evaluate at the radius EIP does.
+    let d = d_override.unwrap_or_else(|| {
+        catalog
+            .indices_for(pred)
+            .iter()
+            .map(|&i| derive_radius(std::slice::from_ref(&*catalog.entries()[i].rule)))
+            .max()
+            .unwrap_or(1)
+    });
     let centers: Vec<NodeId> = match pred.x_cond {
         NodeCond::Label(l) => graph.label_members(l),
         NodeCond::Any => graph.nodes().collect(),
@@ -453,6 +443,34 @@ mod tests {
         assert_eq!(grp.rules.len(), 1, "ghost rule must be inactive");
         assert_eq!(grp.inactive_rules, 1);
         assert_eq!(grp.entry_indices, vec![0]);
+    }
+
+    /// The radius is EIP's over the whole `Σ_p`: a deactivated rule that
+    /// reaches further from `x` still sets it, so an antecedent that is
+    /// not connected to `x` matches at the radius EIP evaluates at.
+    #[test]
+    fn radius_covers_deactivated_rules_like_eip() {
+        let (g, mut cat, pred) = setup();
+        let vocab = g.vocab().clone();
+        let (cust, rest) = (vocab.get("cust").unwrap(), vocab.get("rest").unwrap());
+        let (ghost, visit) = (vocab.get("ghost_label").unwrap(), vocab.get("visit").unwrap());
+        // A deactivated rule reaching three hops out from x.
+        let mut pb = PatternBuilder::new(vocab.clone());
+        let x = pb.node(cust);
+        let a = pb.node(cust);
+        let b = pb.node(cust);
+        let y = pb.node(rest);
+        pb.edge(x, a, ghost);
+        pb.edge(a, b, ghost);
+        pb.edge(b, y, ghost);
+        let deep = Gpar::new(pb.designate(x, y).build().unwrap(), visit).unwrap();
+        cat.insert(Arc::new(deep), ConfStats::default());
+        let sigma: Vec<Gpar> = cat.rules_for(&pred).iter().map(|e| (*e.rule).clone()).collect();
+        let idx = CandidateIndex::build(&g, &cat, 2, None, &test_opts());
+        let grp = idx.group(&pred).unwrap();
+        assert_eq!(grp.inactive_rules, 2, "both ghost rules are inactive");
+        assert_eq!(grp.d, derive_radius(&sigma), "EIP's radius over all of Σ_p");
+        assert!(grp.d > derive_radius(&grp.rules), "the deep inactive rule sets it");
     }
 
     #[test]

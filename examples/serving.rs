@@ -75,12 +75,10 @@ fn main() {
     let answers = engine.identify_batch(reqs);
     let elapsed = t0.elapsed();
     let answered = answers.iter().filter(|a| a.is_ok()).count();
-    let stats = engine.stats();
     println!(
-        "serve: {answered} batched queries in {:.2?} ({:.0} QPS), d-ball cache hit rate {:.0}%",
+        "serve: {answered} batched queries in {:.2?} ({:.0} QPS), answered from the warm ledger",
         elapsed,
         answered as f64 / elapsed.as_secs_f64(),
-        stats.cache.hit_rate() * 100.0
     );
 
     // Top rules by confidence on the serving graph.

@@ -85,5 +85,5 @@ pub mod prelude {
     pub use gpar_mine::{DMine, DmineConfig, MineOpts, MineResult, MinedRule};
     pub use gpar_partition::{partition_by_centers, Fragment, PartitionStrategy};
     pub use gpar_pattern::{NodeCond, Pattern, PatternBuilder};
-    pub use gpar_serve::{RuleCatalog, ServeConfig, ServeEngine, ShardedEngine};
+    pub use gpar_serve::{RuleCatalog, ServeConfig, ServeEngine};
 }

@@ -3,13 +3,14 @@
 //! time (so every generated batch is valid), an engine-independent
 //! materialized ground truth, and the comparable answer surface of a
 //! [`ServeEngine`]. Used by `prop_delta_equivalence` (incremental ≡
-//! fresh rebuild) and `prop_coalesce_equivalence` (coalesced burst ≡
-//! sequential application).
+//! fresh rebuild), `prop_coalesce_equivalence` (coalesced burst ≡
+//! sequential application) and `prop_epoch_oracle` (concurrent answers ≡
+//! one-shot EIP at the epoch they stamp).
 #![allow(dead_code)] // each test binary uses a subset
 
 use gpar::core::{ConfStats, Predicate};
 use gpar::graph::{Graph, GraphBuilder, GraphUpdate, Label, NodeId};
-use gpar::serve::{ServeEngine, ShardedEngine};
+use gpar::serve::ServeEngine;
 use std::sync::Arc;
 
 /// The most frequent edge triple of a synthetic graph, as its predicate.
@@ -32,17 +33,6 @@ pub fn worker_counts() -> Vec<usize> {
         }
     }
     w
-}
-
-/// Shard counts to compare: {1, 2, 4, 8}, or just the `GPAR_SHARDS`
-/// override (CI's shard-matrix leg runs one count per job).
-pub fn shard_counts() -> Vec<usize> {
-    if let Ok(s) = std::env::var("GPAR_SHARDS") {
-        if let Ok(n) = s.trim().parse::<usize>() {
-            return vec![n.max(1)];
-        }
-    }
-    vec![1, 2, 4, 8]
 }
 
 /// An abstract update batch: indices are resolved modulo the live node /
@@ -169,26 +159,6 @@ pub fn surface(engine: &ServeEngine, pred: Predicate, subset: &[NodeId]) -> Answ
         .map(|r| (r.stats, r.confidence.ranking_value().to_bits(), r.active))
         .collect();
     // Order-insensitive: rank ties may order differently across engines.
-    rules.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.supp_r.cmp(&b.0.supp_r)));
-    Some((full, sub, rules))
-}
-
-/// [`surface`] for a scatter/gather front: the same answer triple, read
-/// through the sharded merge path so differential suites compare it
-/// bit-for-bit against a single engine's.
-pub fn sharded_surface(
-    engine: &ShardedEngine,
-    pred: Predicate,
-    subset: &[NodeId],
-) -> AnswerSurface {
-    let full = engine.identify(pred, None).ok()?.customers;
-    let sub = engine.identify(pred, Some(subset.to_vec())).expect("subset served").customers;
-    let mut rules: Vec<(ConfStats, u64, bool)> = engine
-        .top_rules(pred, usize::MAX)
-        .expect("top_rules served")
-        .into_iter()
-        .map(|r| (r.stats, r.confidence.ranking_value().to_bits(), r.active))
-        .collect();
     rules.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.supp_r.cmp(&b.0.supp_r)));
     Some((full, sub, rules))
 }
